@@ -12,10 +12,7 @@ Knobs (environment variables, so pytest-driven runs can set them):
 * ``REPRO_BENCH_FULL``  — ``1`` runs the paper's full method roster;
 * ``REPRO_BENCH_DTYPE`` — ``float32``/``float64`` working precision for
   model training (applied process-wide at import; float32 is the fast
-  path, float64 the bit-exact reproduction default);
-* ``REPRO_BACKEND`` / ``REPRO_NUM_THREADS`` — array backend and its
-  thread count (consumed by ``repro.nn.backend`` at import; every
-  registered backend is bit-identical, so these change timing only).
+  path, float64 the bit-exact reproduction default).
 
 Performance artifacts: machine-readable benchmark records are written as
 ``BENCH_*.json`` via :func:`bench_json` — see ``benchmarks/README.md`` for
@@ -33,7 +30,6 @@ import numpy as np
 
 from repro.models import ModelConfig
 from repro.nn import set_default_dtype
-from repro.nn.backend import active_backend
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
@@ -128,9 +124,6 @@ def bench_environment() -> dict:
         "cpu_count": os.cpu_count(),
         "scale": SCALE,
         "dtype": DTYPE,
-        # Read at call time, not import: benches may switch backends.
-        "backend": active_backend().name,
-        "backend_threads": active_backend().num_threads,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
 

@@ -51,7 +51,6 @@ from repro.features.random_feat import RandomFeatureProcess
 from repro.features.structural import StructuralFeatureProcess
 from repro.models import ModelConfig
 from repro.models.slim import SLIM
-from repro.nn.backend import active_backend
 from repro.pipeline import Splash, SplashConfig
 from repro.serving import FleetRouter, PredictionService, ServingConfig
 
@@ -116,7 +115,6 @@ def build_splash(ctdg):
     model.eval()
     splash.model = model
     splash._fit_dtype = DTYPE
-    splash._fit_backend = active_backend().name
     return splash
 
 

@@ -6,17 +6,13 @@ reports the chronological test F1.
 
 Usage:  python examples/quickstart.py [--edges 3000] [--seed 0]
                                       [--dtype {float32,float64}]
-                                      [--backend {numpy,blas-threaded}]
-                                      [--num-threads N]
                                       [--engine {batched,event,sharded}]
                                       [--num-workers N]
                                       [--propagation {blocked,event}]
 
 ``--dtype float32`` selects the tensor backend's fast path (half the
 memory traffic during SLIM training); float64 is the bit-exact default.
-``--backend blas-threaded --num-threads 4`` runs the hot kernels (GEMM,
-row gather/scatter, segment counting) on multiple threads — outputs stay
-bit-identical to the numpy backend.  ``--engine sharded --num-workers 4``
+``--engine sharded --num-workers 4``
 materialises query contexts from contiguous stream shards in parallel
 worker processes (all engines produce bit-identical contexts; see
 DESIGN.md §3).  All execution knobs ride on one
@@ -27,7 +23,7 @@ import argparse
 
 from repro.datasets import email_eu_like
 from repro.models import ModelConfig
-from repro.nn import available_backends, set_default_dtype
+from repro.nn import set_default_dtype
 from repro.pipeline import ExecutionConfig, Splash, SplashConfig
 
 
@@ -40,18 +36,6 @@ def main() -> None:
         choices=["float32", "float64"],
         default="float64",
         help="tensor backend precision (float32 = fast path)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=sorted(available_backends()),
-        default=None,
-        help="array backend for the hot kernels (default: ambient backend)",
-    )
-    parser.add_argument(
-        "--num-threads",
-        type=int,
-        default=None,
-        help="kernel threads for --backend blas-threaded",
     )
     parser.add_argument(
         "--engine",
@@ -84,8 +68,6 @@ def main() -> None:
             hidden_dim=64, epochs=50, patience=10, lr=3e-3, seed=args.seed
         ),
         execution=ExecutionConfig(
-            backend=args.backend,
-            num_threads=args.num_threads,
             engine=args.engine,
             num_workers=args.num_workers,
             propagation=args.propagation,

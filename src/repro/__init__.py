@@ -21,10 +21,8 @@ Public API
 The blessed entry points are re-exported here (and pinned by
 ``tests/test_public_api.py``): the pipeline front door (:class:`Splash`,
 :class:`SplashConfig`, :class:`ExecutionConfig`, :func:`prepare_experiment`),
-the serving front door (:func:`serve` + :class:`ServingConfig`, plus
-:class:`PredictionService` for direct use), and the array-backend
-registry (``available_backends`` / ``get_backend`` / ``register_backend`` /
-``set_default_backend`` / ``use_backend``).  Everything else is reachable
+and the serving front door (:func:`serve` + :class:`ServingConfig`, plus
+:class:`PredictionService` for direct use).  Everything else is reachable
 through the subpackages but carries no stability promise.
 
 Quickstart
@@ -36,13 +34,6 @@ Quickstart
 >>> splash.evaluate()                        # doctest: +SKIP
 """
 
-from repro.nn.backend import (
-    available_backends,
-    get_backend,
-    register_backend,
-    set_default_backend,
-    use_backend,
-)
 from repro.pipeline import (
     ExecutionConfig,
     Splash,
@@ -64,10 +55,4 @@ __all__ = [
     "PredictionService",
     "ServingConfig",
     "serve",
-    # array-backend registry
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "set_default_backend",
-    "use_backend",
 ]

@@ -363,7 +363,6 @@ class AdaptiveService:
                             candidate.model,
                             store=store,
                             dtype=candidate.fit_dtype,
-                            backend=candidate.fit_backend,
                         )
                     store.attach_monitor(self.monitor)
                     if self.service.persistence is not None:

@@ -16,11 +16,7 @@ zero, plus an int64 propagation-degree vector.  Current features of any
 node set are then a single numpy gather (:meth:`PropagatedFeatureStore.features_of`),
 and a whole endpoint-disjoint run of edges
 (:func:`repro.streams.replay.plan_update_blocks`) updates in one gather +
-scatter (:meth:`PropagatedFeatureStore.on_edge_block`).  The gathers and
-the (duplicate-free) row scatter-assigns route through the active array
-backend (:mod:`repro.nn.backend`), which may partition them across
-threads — bit-identically, because no element's arithmetic is split.
-Node ids outside the fitted id space (possible only through the serving
+scatter (:meth:`PropagatedFeatureStore.on_edge_block`).  Node ids outside the fitted id space (possible only through the serving
 layer's raw ingest) spill into a dict and take the per-event path.
 """
 
@@ -31,7 +27,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.features.base import OnlineFeatureStore
-from repro.nn.backend import active_backend
 
 
 class PropagatedFeatureStore(OnlineFeatureStore):
@@ -102,11 +97,11 @@ class PropagatedFeatureStore(OnlineFeatureStore):
         in_range = (nodes >= 0) & (nodes < len(self._seen))
         if in_range.all():
             self._ensure_dense()
-            return active_backend().take(self._current, nodes)
+            return np.take(self._current, nodes, axis=0)
         out = np.zeros((len(nodes), self.dim))
         if in_range.any():
             self._ensure_dense()
-            out[in_range] = active_backend().take(self._current, nodes[in_range])
+            out[in_range] = np.take(self._current, nodes[in_range], axis=0)
         if self._overflow_feat:
             for row in np.nonzero(~in_range)[0]:
                 stored = self._overflow_feat.get(int(nodes[row]))
@@ -172,7 +167,6 @@ class PropagatedFeatureStore(OnlineFeatureStore):
             dst_unseen[in_range] = ~self._seen[dst[in_range]]
         if src_unseen.any() or dst_unseen.any():
             self._ensure_dense()
-            kernels = active_backend()
             current = self._current
             degrees = self._degrees
             # Gather with overflow ids clamped to row 0: such rows are
@@ -180,44 +174,35 @@ class PropagatedFeatureStore(OnlineFeatureStore):
             # the per-event path), the placeholder value is never read.
             src_ids = src if all_in else np.where(in_range, src, 0)
             dst_ids = dst if all_in else np.where(in_range, dst, 0)
-            pre_src = kernels.take(current, src_ids)
-            pre_dst = kernels.take(current, dst_ids)
+            pre_src = np.take(current, src_ids, axis=0)
+            pre_dst = np.take(current, dst_ids, axis=0)
             selfloop = src == dst
             into_src = src_unseen & ~selfloop
             into_dst = dst_unseen & ~selfloop
             # The run invariant makes each ``nodes`` vector duplicate-free,
-            # which is exactly put_rows' contract — a backend may partition
-            # the scatter across threads.
+            # so each row scatter below writes every row once.
             if into_src.any():
                 nodes = src[into_src]
                 degree = degrees[nodes]
-                kernels.put_rows(
-                    current,
-                    nodes,
-                    (degree[:, None] * pre_src[into_src] + pre_dst[into_src])
-                    / (degree + 1)[:, None],
-                )
+                current[nodes] = (
+                    degree[:, None] * pre_src[into_src] + pre_dst[into_src]
+                ) / (degree + 1)[:, None]
                 degrees[nodes] = degree + 1
             if into_dst.any():
                 nodes = dst[into_dst]
                 degree = degrees[nodes]
-                kernels.put_rows(
-                    current,
-                    nodes,
-                    (degree[:, None] * pre_dst[into_dst] + pre_src[into_dst])
-                    / (degree + 1)[:, None],
-                )
+                current[nodes] = (
+                    degree[:, None] * pre_dst[into_dst] + pre_src[into_dst]
+                ) / (degree + 1)[:, None]
                 degrees[nodes] = degree + 1
             loops = selfloop & src_unseen
             if loops.any():
                 nodes = src[loops]
                 degree = degrees[nodes]
                 pre = pre_src[loops]
-                kernels.put_rows(
-                    current,
-                    nodes,
-                    ((degree + 1)[:, None] * pre + pre) / (degree + 2)[:, None],
-                )
+                current[nodes] = ((degree + 1)[:, None] * pre + pre) / (
+                    degree + 2
+                )[:, None]
                 degrees[nodes] = degree + 2
         if not all_in:
             # Overflow ids (raw serving ingest): per-event path.  Safe in

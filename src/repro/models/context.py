@@ -67,7 +67,6 @@ import numpy as np
 from repro import obs
 from repro.features.base import FeatureProcess, OnlineFeatureStore
 from repro.features.random_feat import StaticStore
-from repro.nn.backend import active_backend
 from repro.features.structural import StructuralFeatureProcess, degree_encoding
 from repro.streams.ctdg import CTDG
 from repro.streams.degrees import DegreeTracker
@@ -510,6 +509,25 @@ class _BundleCollector(_QueryOutputs):
         self.state.write_query(self, index, node, time, self.seen_mask)
 
 
+def grouped_running_count(sorted_values: np.ndarray) -> np.ndarray:
+    """1-based running count within each run of equal adjacent values.
+
+    ``sorted_values`` is grouped (the owner-sorted incidence log of the
+    batched context engine); the result's element ``p`` is how many entries
+    of ``sorted_values[: p + 1]`` equal ``sorted_values[p]``.  This is the
+    segment pass behind Eq. 2's degree accounting.
+    """
+    n = len(sorted_values)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    run_start[1:] = sorted_values[1:] != sorted_values[:-1]
+    group_first = np.nonzero(run_start)[0]
+    group_id = np.cumsum(run_start) - 1
+    return np.arange(n, dtype=np.int64) - group_first[group_id] + 1
+
+
 class _BatchedBundleCollector(_QueryOutputs):
     """Block stream processor that fills the bundle arrays columnar-ly.
 
@@ -809,11 +827,10 @@ class _BatchedBundleCollector(_QueryOutputs):
         # Owner-sorted view of the log (stable ⇒ ascending position within
         # each owner).  ``incl[p]`` = #incidences of owner[p] at positions
         # ≤ p, i.e. the owner's degree right after its p-th event.
-        kernels = active_backend()
         order = np.argsort(owner, kind="stable")
         incl = np.empty(num_inc, dtype=np.int64)
         if num_inc:
-            incl[order] = kernels.grouped_running_count(owner[order])
+            incl[order] = grouped_running_count(owner[order])
 
         # deg of the *neighbour* at edge time (Eq. 2, inclusive of this
         # edge): the neighbour's own incidence is the partner position
@@ -890,9 +907,10 @@ class _BatchedBundleCollector(_QueryOutputs):
                 # Gather straight into the output block: fancy indexing would
                 # materialise (and fault in) an extra (Q, k, d_e) temporary.
                 out = self.edge_features[:num_q]
-                kernels.take(
+                np.take(
                     self._edge_feature_table,
                     np.where(valid, inc_edge[inc], 0),
+                    axis=0,
                     out=out,
                 )
                 out[~valid] = 0.0
@@ -933,7 +951,7 @@ class _BatchedBundleCollector(_QueryOutputs):
             gathered = self.neighbor_features[name][:num_q]
             if table is not None and len(table) and num_inc:
                 safe_nbr = np.clip(np.where(valid, nbr[inc], 0), 0, len(table) - 1)
-                kernels.take(table, safe_nbr, out=gathered)
+                np.take(table, safe_nbr, axis=0, out=gathered)
                 gathered[~valid] = 0.0
             if any_dynamic:
                 gathered[dynamic_slot] = log[slot_snap[dynamic_slot]]
@@ -1089,18 +1107,17 @@ def _collect_shard_impl(
     inc_weight = np.repeat(weights_e, 2)
     inc_edge = np.repeat(np.arange(e_lo, e_hi, dtype=np.int64), 2)
 
-    kernels = active_backend()
     order = np.argsort(owner, kind="stable")
     incl = np.empty(num_inc, dtype=np.int64)
     if num_inc:
         # The tail export below also needs the run boundaries, so they are
-        # recomputed here (cheap) alongside the backend's segment pass.
+        # recomputed here (cheap) alongside the segment pass.
         sorted_owner = owner[order]
         run_start = np.empty(num_inc, dtype=bool)
         run_start[0] = True
         run_start[1:] = sorted_owner[1:] != sorted_owner[:-1]
         group_first = np.nonzero(run_start)[0]
-        incl[order] = kernels.grouped_running_count(sorted_owner)
+        incl[order] = grouped_running_count(sorted_owner)
         partner = np.arange(num_inc) ^ 1
         nbr_deg = incl[partner]
         odd = np.arange(num_inc) % 2 == 1
@@ -1168,7 +1185,7 @@ def _collect_shard_impl(
     if table is not None and table.shape[1]:
         edge_feature_block = _out3("edge_features", table.shape[1])
         if num_inc:
-            kernels.take(table, slot_edge, out=edge_feature_block)
+            np.take(table, slot_edge, axis=0, out=edge_feature_block)
             edge_feature_block[~valid] = 0.0
 
     neighbor_features: Dict[str, np.ndarray] = {}
@@ -1177,7 +1194,7 @@ def _collect_shard_impl(
         gathered = _out3(f"nbr::{name}", dim)
         if feat_table is not None and len(feat_table) and num_inc:
             safe_nbr = np.clip(np.maximum(neighbor_nodes, 0), 0, len(feat_table) - 1)
-            kernels.take(feat_table, safe_nbr, out=gathered)
+            np.take(feat_table, safe_nbr, axis=0, out=gathered)
             gathered[~valid] = 0.0
         neighbor_features[name] = gathered
         target = (
@@ -1723,32 +1740,17 @@ def partition_processes(
     return stores, structural_params, static_tables, seen_mask
 
 
-# Sentinel distinguishing "caller never passed this" from any real value
-# (needed while the deprecated positional spellings below are accepted).
-_UNSET = object()
-
-# Former positional parameters of build_context_bundle, in their old order.
-# They are keyword-only now; positional use warns and will be removed.
-_LEGACY_BUNDLE_KNOBS = (
-    ("engine", "batched"),
-    ("num_workers", 0),
-    ("num_shards", None),
-    ("clamp_workers", True),
-    ("propagation", "blocked"),
-)
-
-
 def build_context_bundle(
     ctdg: CTDG,
     queries: QuerySet,
     k: int,
     processes: Sequence[FeatureProcess] = (),
-    *_legacy_engine_args,
-    engine=_UNSET,
-    num_workers=_UNSET,
-    num_shards=_UNSET,
-    clamp_workers=_UNSET,
-    propagation=_UNSET,
+    *,
+    engine: str = "batched",
+    num_workers: int = 0,
+    num_shards: Optional[int] = None,
+    clamp_workers: bool = True,
+    propagation: str = "blocked",
 ) -> ContextBundle:
     """Replay ``ctdg`` once and materialise contexts for every query.
 
@@ -1781,54 +1783,7 @@ def build_context_bundle(
     nodes — all in-repo stores qualify); a store outside that contract
     must be materialised with ``engine="event"``, which also serves as the
     oracle for equivalence tests.
-
-    The execution knobs (``engine``, ``num_workers``, ``num_shards``,
-    ``clamp_workers``, ``propagation``) are keyword-only; their historical
-    positional spellings still work but emit a ``DeprecationWarning`` and
-    will be removed in two releases.  Defaults: ``engine="batched"``,
-    ``num_workers=0``, ``num_shards=None``, ``clamp_workers=True``,
-    ``propagation="blocked"``.
     """
-    explicit = {
-        "engine": engine,
-        "num_workers": num_workers,
-        "num_shards": num_shards,
-        "clamp_workers": clamp_workers,
-        "propagation": propagation,
-    }
-    resolved = dict(_LEGACY_BUNDLE_KNOBS)
-    if _legacy_engine_args:
-        if len(_legacy_engine_args) > len(_LEGACY_BUNDLE_KNOBS):
-            raise TypeError(
-                "build_context_bundle() takes at most "
-                f"{4 + len(_LEGACY_BUNDLE_KNOBS)} positional arguments "
-                f"({4 + len(_legacy_engine_args)} given)"
-            )
-        names = ", ".join(name for name, _ in _LEGACY_BUNDLE_KNOBS)
-        warnings.warn(
-            f"passing the execution knobs ({names}) positionally to "
-            "build_context_bundle is deprecated and will stop working in "
-            "two releases; pass them as keywords (or configure them via "
-            "ExecutionConfig on the pipeline API)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        for (name, _), value in zip(_LEGACY_BUNDLE_KNOBS, _legacy_engine_args):
-            if explicit[name] is not _UNSET:
-                raise TypeError(
-                    f"build_context_bundle() got multiple values for "
-                    f"argument {name!r}"
-                )
-            resolved[name] = value
-    for name, value in explicit.items():
-        if value is not _UNSET:
-            resolved[name] = value
-    engine = resolved["engine"]
-    num_workers = resolved["num_workers"]
-    num_shards = resolved["num_shards"]
-    clamp_workers = resolved["clamp_workers"]
-    propagation = resolved["propagation"]
-
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if engine not in ("batched", "event", "sharded"):

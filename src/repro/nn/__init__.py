@@ -7,23 +7,13 @@ execution environment has no GPU frameworks).  It provides:
 * layers (:class:`Linear`, :class:`MLP`, :class:`LayerNorm`, attention, GRU);
 * losses (cross-entropy, soft-target cross-entropy, BCE, MSE);
 * optimisers (SGD, Adam) and gradient clipping;
-* state-dict (de)serialisation;
-* a pluggable array-backend registry (:mod:`repro.nn.backend`) that owns
-  array creation and the hot kernels (GEMM, gathers, segment reductions).
+* state-dict (de)serialisation.
 
 Gradient correctness is property-tested against finite differences.
 """
 
 from repro.nn import functional
 from repro.nn.attention import MultiHeadAttention, scaled_dot_product_attention
-from repro.nn.backend import (
-    ArrayBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_default_backend,
-    use_backend,
-)
 from repro.nn.layers import (
     MLP,
     Dropout,
@@ -40,7 +30,6 @@ from repro.nn.loss import bce_with_logits, cross_entropy, mse_loss, soft_cross_e
 from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
 from repro.nn.rnn import GRUCell, RNNCell
 from repro.nn.serialize import (
-    archive_backend,
     archive_dtype,
     load_into,
     load_state_dict,
@@ -68,12 +57,6 @@ __all__ = [
     "default_dtype",
     "get_default_dtype",
     "set_default_dtype",
-    "ArrayBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "set_default_backend",
-    "use_backend",
     "functional",
     "Module",
     "Parameter",
@@ -101,5 +84,4 @@ __all__ = [
     "load_state_dict",
     "load_into",
     "archive_dtype",
-    "archive_backend",
 ]

@@ -2,8 +2,7 @@
 
 Used by the TGAT, DySAT, and DyGFormer baselines.  Shapes follow the
 ``(batch, sequence, feature)`` convention throughout.  The score and
-value matmuls are batched 3-D GEMMs dispatched through the active array
-backend (:mod:`repro.nn.backend`) by ``Tensor.__matmul__``.
+value matmuls are batched 3-D GEMMs through ``Tensor.__matmul__``.
 """
 
 from __future__ import annotations

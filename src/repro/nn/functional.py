@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.backend import active_backend
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled
 
 
@@ -161,21 +160,14 @@ def dropout(
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup ``weight[indices]`` with scatter-add gradients.
-
-    The gather and the gradient scatter route through the active array
-    backend (:mod:`repro.nn.backend`); the scatter stays serial on every
-    in-tree backend because float accumulation order is part of
-    bit-identity.
-    """
+    """Row lookup ``weight[indices]`` with scatter-add gradients."""
     weight = as_tensor(weight)
     idx = np.asarray(indices, dtype=np.int64)
-    data = active_backend().take(weight.data, idx)
+    data = np.take(weight.data, idx, axis=0)
 
     def backward(grad: np.ndarray) -> None:
-        kernels = active_backend()
-        full = kernels.zeros_like(weight.data)
-        kernels.scatter_add(full, idx, grad)
+        full = np.zeros_like(weight.data)
+        np.add.at(full, idx, grad)
         out._send(weight, full)
 
     out = Tensor._make(data, (weight,), backward)
@@ -192,9 +184,8 @@ def gather_rows(x: Tensor, column_indices: np.ndarray) -> Tensor:
     data = x.data[rows, cols]
 
     def backward(grad: np.ndarray) -> None:
-        kernels = active_backend()
-        full = kernels.zeros_like(x.data)
-        kernels.scatter_add(full, (rows, cols), grad)
+        full = np.zeros_like(x.data)
+        np.add.at(full, (rows, cols), grad)
         out._send(x, full)
 
     out = Tensor._make(data, (x,), backward)

@@ -1,9 +1,6 @@
 """Neural-network module system: parameter containers and common layers.
 
-Layer forward/backward passes reduce to ``Tensor.__matmul__``, which
-dispatches GEMM through the active array backend (:mod:`repro.nn.backend`)
-— the ``blas-threaded`` backend runs the same kernels with a raised BLAS
-thread count, bit-identically.
+Layer forward/backward passes reduce to ``Tensor.__matmul__`` (numpy GEMM).
 """
 
 from __future__ import annotations

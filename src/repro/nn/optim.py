@@ -1,10 +1,9 @@
 """Gradient-descent optimisers (SGD with momentum, Adam) and grad clipping.
 
-Optimiser state (momentum/moment buffers) is allocated through the active
-array backend's ``zeros_like`` on the parameters, so it automatically
-adopts both the precision the model was built under (float32 or float64;
-see :func:`repro.nn.set_default_dtype`) and, for a future device backend,
-the parameters' device.  All update arithmetic stays in that dtype."""
+Optimiser state (momentum/moment buffers) is allocated with ``zeros_like``
+on the parameters, so it adopts the precision the model was built under
+(float32 or float64; see :func:`repro.nn.set_default_dtype`).  All update
+arithmetic stays in that dtype."""
 
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.nn.backend import active_backend
 from repro.nn.layers import Parameter
 
 
@@ -54,8 +52,7 @@ class SGD(Optimizer):
 
     def step(self) -> None:
         if self.momentum > 0 and self._velocity is None:
-            kernels = active_backend()
-            self._velocity = [kernels.zeros_like(p.data) for p in self.parameters]
+            self._velocity = [np.zeros_like(p.data) for p in self.parameters]
         for index, param in enumerate(self.parameters):
             if param.grad is None:
                 continue
@@ -93,9 +90,8 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        kernels = active_backend()
-        self._m = [kernels.zeros_like(p.data) for p in self.parameters]
-        self._v = [kernels.zeros_like(p.data) for p in self.parameters]
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
         self._step_count += 1

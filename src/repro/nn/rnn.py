@@ -1,8 +1,6 @@
 """Recurrent cells used by the JODIE and TGN baselines.
 
-Each gate is a :class:`~repro.nn.layers.Linear`, so every matmul in the
-recurrence dispatches through the active array backend
-(:mod:`repro.nn.backend`).
+Each gate is a :class:`~repro.nn.layers.Linear`.
 """
 
 from __future__ import annotations

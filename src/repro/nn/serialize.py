@@ -14,27 +14,21 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.nn.backend import active_backend
 from repro.nn.layers import Module
 
-# Metadata key stored alongside the parameters: the array backend active
-# when the archive was written.  Read back via :func:`archive_backend`;
-# stripped by :func:`load_state_dict` so it never reaches
-# ``Module.load_state_dict``'s unexpected-key check.
-_BACKEND_KEY = "__backend__"
+# Metadata key that older archives stored next to the parameters (the name
+# of the array backend they were written under).  Nothing writes it any
+# more; :func:`load_state_dict` strips it so those archives still load.
+_LEGACY_BACKEND_KEY = "__backend__"
 
 
 def save_state_dict(module: Module, path: str) -> str:
     """Write ``module.state_dict()`` to ``path`` (``.npz`` appended if absent).
 
-    The active array backend's name is archived under a metadata key next
-    to the parameters (mirroring how the trained dtype is recoverable via
-    :func:`archive_dtype`).  Returns the path actually written (numpy
-    appends the suffix itself), so callers embedding the archive in a
-    larger artifact can record it.
+    Returns the path actually written (numpy appends the suffix itself),
+    so callers embedding the archive in a larger artifact can record it.
     """
     state = dict(module.state_dict())
-    state[_BACKEND_KEY] = np.asarray(active_backend().name)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     np.savez(path, **state)
@@ -55,26 +49,11 @@ def archive_dtype(path: str) -> Optional[np.dtype]:
     return None
 
 
-def archive_backend(path: str) -> Optional[str]:
-    """The array-backend name a state-dict archive was saved under.
-
-    ``None`` for archives written before the backend registry existed.
-    Purely provenance: every registered backend is bit-identical, so any
-    archive loads under any backend.
-    """
-    if not path.endswith(".npz"):
-        path = path + ".npz"
-    with np.load(path) as archive:
-        if _BACKEND_KEY in archive.files:
-            return str(archive[_BACKEND_KEY])
-    return None
-
-
 def load_state_dict(path: str, dtype: Optional[object] = None) -> Dict[str, np.ndarray]:
     """Read a state dict previously written by :func:`save_state_dict`.
 
-    Metadata keys (the archived backend name) are stripped, so the result
-    feeds straight into ``Module.load_state_dict``.  ``dtype`` recasts
+    The ``__backend__`` metadata key of older archives is stripped, so
+    the result feeds straight into ``Module.load_state_dict``.  ``dtype`` recasts
     floating arrays on load (e.g. ``np.float32`` to restore a float64
     checkpoint into the fast-path precision).
     """
@@ -84,7 +63,7 @@ def load_state_dict(path: str, dtype: Optional[object] = None) -> Dict[str, np.n
         state = {
             name: archive[name]
             for name in archive.files
-            if name != _BACKEND_KEY
+            if name != _LEGACY_BACKEND_KEY
         }
     if dtype is not None:
         resolved = np.dtype(dtype)

@@ -15,14 +15,6 @@ SLIM/baseline training).  Use :func:`set_default_dtype` or the
 :func:`default_dtype` context manager; tensors created afterwards — and the
 parameters of layers constructed afterwards — use the active dtype.
 
-Array creation and GEMM (forward *and* backward of ``@``) dispatch through
-the pluggable array-backend registry (:mod:`repro.nn.backend`), which owns
-the hot kernels; every registered backend is bit-identical, so routing
-changes wall-clock only.  Like the default dtype, the active backend is
-process-global: :func:`default_dtype` and
-:func:`repro.nn.backend.use_backend` share the same state model —
-re-entrant, exception-safe, restored by value on exit, and *not*
-thread-local.
 """
 
 from __future__ import annotations
@@ -31,8 +23,6 @@ import contextlib
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from repro.nn import backend as _backend
 
 #: Backwards-compatible alias for the boot-time default; prefer
 #: :func:`get_default_dtype`, which reflects runtime reconfiguration.
@@ -92,8 +82,7 @@ def default_dtype(dtype) -> Iterator[np.dtype]:
     and restored in a ``finally`` block, so nesting to any depth — or a
     raising body — always unwinds to the dtype that was active on entry.
     The switch is **process-global**, not thread-local: other threads see
-    it too (``tests/nn/test_backend.py`` fuzzes the nesting/raising
-    invariants together with :func:`repro.nn.backend.use_backend`).
+    it too.
     """
     previous = set_default_dtype(dtype)
     try:
@@ -142,7 +131,7 @@ TensorLike = Union["Tensor", np.ndarray, float, int]
 def _as_array(value: TensorLike, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
-    return _backend.active_backend().asarray(value, dtype=dtype or _default_dtype)
+    return np.asarray(value, dtype=dtype or _default_dtype)
 
 
 def as_tensor(value: TensorLike) -> "Tensor":
@@ -387,11 +376,8 @@ class Tensor:
         return out
 
     def __matmul__(self, other: TensorLike) -> "Tensor":
-        # Forward and both backward GEMMs dispatch through the active array
-        # backend, so every layer built on ``@`` (Linear/MLP/GRU/attention)
-        # inherits threaded BLAS without further routing.
         other_t = as_tensor(other)
-        data = _backend.active_backend().matmul(self.data, other_t.data)
+        data = self.data @ other_t.data
 
         def backward(grad: np.ndarray, a=self, b=other_t) -> None:
             a_data, b_data = a.data, b.data
@@ -413,9 +399,8 @@ class Tensor:
                 gb = (grad[..., :, None] * a_data).sum(axis=tuple(range(grad.ndim)))
                 out._send(b, _unbroadcast(gb, b.shape))
                 return
-            kernel = _backend.active_backend().matmul
-            ga = kernel(grad, np.swapaxes(b_data, -1, -2))
-            gb = kernel(np.swapaxes(a_data, -1, -2), grad)
+            ga = grad @ np.swapaxes(b_data, -1, -2)
+            gb = np.swapaxes(a_data, -1, -2) @ grad
             out._send(a, _unbroadcast(ga, a.shape))
             out._send(b, _unbroadcast(gb, b.shape))
 
@@ -503,9 +488,8 @@ class Tensor:
         data = self.data[index]
 
         def backward(grad: np.ndarray, a=self, idx=index) -> None:
-            kernels = _backend.active_backend()
-            full = kernels.zeros_like(a.data)
-            kernels.scatter_add(full, idx, grad)
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, grad)
             out._send(a, full)
 
         out = Tensor._make(data, (self,), backward)

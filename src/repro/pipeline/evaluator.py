@@ -9,7 +9,6 @@ material for Tables III/IV and Figures 9-12.
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
@@ -28,8 +27,6 @@ from repro.utils.logging import get_logger
 from repro.utils.rng import spawn_rngs
 
 logger = get_logger("evaluator")
-
-_UNSET = object()
 
 
 @dataclass
@@ -82,10 +79,6 @@ def prepare_experiment(
     seed: int = 0,
     split: Optional[ChronoSplit] = None,
     execution: Optional[ExecutionConfig] = None,
-    *,
-    context_engine=_UNSET,
-    num_workers=_UNSET,
-    propagation=_UNSET,
 ) -> PreparedExperiment:
     """Fit all feature processes on the training stream and build the shared
     context bundle (one replay serving every method).
@@ -99,44 +92,13 @@ def prepare_experiment(
     ``propagation`` selects how the batched/sharded engines run the
     sequential store pass (``"blocked"`` scatter-updates endpoint-disjoint
     runs, ``"event"`` is the per-event reference; identical outputs).
-    All engines produce identical bundles.  ``execution.backend`` is *not*
-    applied here — preparation runs on the ambient backend so it stays
-    safe to call from :func:`iter_prepared`'s prefetch thread (flipping
-    the process-global backend there would race the training thread);
-    since backends are bit-identical this changes timing only.  Wall-clock
-    of the feature fit and the context replay is recorded on the result so
-    benchmarks can track the materialisation cost over time.
-
-    The flat ``context_engine``/``num_workers``/``propagation`` keywords
-    are deprecated spellings of the same knobs (one warning per call;
-    removed in two releases); mixing them with ``execution=`` is an error.
+    All engines produce identical bundles.  Preparation never touches the
+    process-global default dtype, so it is safe to call from
+    :func:`iter_prepared`'s prefetch thread.  Wall-clock of the feature fit
+    and the context replay is recorded on the result so benchmarks can
+    track the materialisation cost over time.
     """
-    flat = {
-        name: value
-        for name, value in (
-            ("context_engine", context_engine),
-            ("num_workers", num_workers),
-            ("propagation", propagation),
-        )
-        if value is not _UNSET
-    }
-    if flat:
-        if execution is not None:
-            raise ValueError(
-                "pass execution settings either through execution=... or "
-                "through the deprecated flat keywords, not both: "
-                + ", ".join(sorted(flat))
-            )
-        warnings.warn(
-            "the flat context_engine/num_workers/propagation keywords of "
-            "prepare_experiment are deprecated and will be removed in two "
-            "releases; pass execution=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        flat["engine"] = flat.pop("context_engine", "batched")
-        execution = ExecutionConfig(**flat)
-    elif execution is None:
+    if execution is None:
         execution = ExecutionConfig()
     split = split or dataset.split()
     train_stream = dataset.train_stream(split)
@@ -182,10 +144,10 @@ def iter_prepared(
     caller trains on dataset N — the training half of the ROADMAP's
     async-prefetch item (the serving half landed with
     ``PredictionService.serve_stream(background=True)``).  Preparation
-    never touches the nn backend's process-global dtype *or* the
-    process-global array backend (see :func:`prepare_experiment`), so
-    overlapping it with training changes *when* bundles are built, never
-    their contents: results are identical with the flag on or off
+    never touches the nn backend's process-global dtype (see
+    :func:`prepare_experiment`), so overlapping it with training changes
+    *when* bundles are built, never their contents: results are identical
+    with the flag on or off
     (``tests/pipeline/test_prefetch.py``).
 
     The prefetch depth is one — bundles are large, so materialising the

@@ -10,7 +10,6 @@ and the trained SLIM scores any query subset.
 
 from __future__ import annotations
 
-import contextlib
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -23,7 +22,6 @@ from repro.features.base import FeatureProcess
 from repro.models.base import FitHistory, ModelConfig, evaluate_model
 from repro.models.context import ContextBundle, build_context_bundle
 from repro.models.slim import SLIM
-from repro.nn.backend import active_backend, get_backend, use_backend
 from repro.nn.tensor import default_dtype, get_default_dtype
 from repro.selection.linear_model import LinearFitConfig
 from repro.selection.selector import FeatureSelector, SelectionResult
@@ -31,6 +29,7 @@ from repro.datasets.base import StreamDataset
 from repro.streams.split import ChronoSplit
 from repro.utils.logging import get_logger
 from repro.utils.timer import Timer
+from repro.utils.validation import check_finite_positive, check_int
 
 logger = get_logger("splash")
 
@@ -40,18 +39,11 @@ class ExecutionConfig:
     """*How* the pipeline runs — never *what* it computes.
 
     Every knob here changes wall-clock behaviour only: all combinations
-    produce bit-identical results at a given ``dtype`` (the array-backend
-    registry's core invariant, plus the engine-equivalence guarantees of
-    ``models/context.py``).  ``dtype`` is the one exception — it selects
-    the numeric precision itself.
+    produce bit-identical results at a given ``dtype`` (the
+    engine-equivalence guarantees of ``models/context.py``).  ``dtype`` is
+    the one exception — it selects the numeric precision itself.
     """
 
-    # Array backend (repro.nn.backend) for GEMM / gathers / segment passes.
-    # None → whatever backend is ambient (the process default, usually
-    # "numpy" unless REPRO_BACKEND says otherwise).
-    backend: Optional[str] = None
-    # Thread count for thread-aware backends (None → backend default).
-    num_threads: Optional[int] = None
     dtype: Optional[str] = None  # None → ambient default; "float32" = fast path
     engine: str = "batched"  # replay engine for context materialisation
     # Worker processes for the "sharded" engine.  0 and 1 both mean "no
@@ -86,34 +78,14 @@ class ExecutionConfig:
     obs_http_port: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            # Fail at construction with the registry's own message (which
-            # lists what *is* registered) rather than minutes into fit().
-            get_backend(self.backend)
-        if self.num_threads is not None:
-            if not isinstance(self.num_threads, int) or isinstance(
-                self.num_threads, bool
-            ):
-                raise ValueError(
-                    f"num_threads must be an int or None, got {self.num_threads!r}"
-                )
-            if self.num_threads < 1:
-                raise ValueError(
-                    f"num_threads must be >= 1, got {self.num_threads}"
-                )
         if self.engine not in ("batched", "event", "sharded"):
             raise ValueError(
                 "execution engine (formerly context_engine) must be "
                 f"'batched', 'event' or 'sharded', got {self.engine!r}"
             )
-        if not isinstance(self.num_workers, int) or isinstance(self.num_workers, bool):
-            raise ValueError(f"num_workers must be an int, got {self.num_workers!r}")
-        if self.num_workers < 0:
-            # Fail at construction, mirroring the engine check; 0 and 1 are
-            # the documented serial settings, so only negatives are nonsense.
-            raise ValueError(
-                f"num_workers must be non-negative, got {self.num_workers}"
-            )
+        # 0 and 1 are the documented serial settings; only negatives (and
+        # non-integers) are nonsense.
+        check_int("num_workers", self.num_workers)
         if self.propagation not in ("blocked", "event"):
             raise ValueError(
                 "propagation must be 'blocked' or 'event', "
@@ -136,143 +108,40 @@ class ExecutionConfig:
                 UserWarning,
                 stacklevel=2,
             )
-        if self.obs_flush_interval is not None and self.obs_flush_interval <= 0:
-            raise ValueError(
-                "obs_flush_interval must be positive or None, "
-                f"got {self.obs_flush_interval!r}"
-            )
-        if self.obs_http_port is not None and not (
-            0 <= int(self.obs_http_port) <= 65535
-        ):
-            raise ValueError(
-                "obs_http_port must be in [0, 65535] or None, "
-                f"got {self.obs_http_port!r}"
-            )
+        if self.obs_flush_interval is not None:
+            check_finite_positive("obs_flush_interval", self.obs_flush_interval)
+        if self.obs_http_port is not None:
+            check_int("obs_http_port", self.obs_http_port, high=65535)
         if self.num_workers >= 2 and self.engine != "sharded":
             # Not an error — the config is valid and fit() runs fine — but
             # silently ignoring the setting hides that no pool will exist.
             warnings.warn(
                 f"num_workers={self.num_workers} has no effect with "
-                f"context_engine={self.engine!r}; only the 'sharded' "
+                f"engine={self.engine!r}; only the 'sharded' "
                 "engine collects context in worker processes",
                 UserWarning,
                 stacklevel=2,
             )
 
 
-# ----------------------------------------------------------------------
-# Flat-field deprecation plumbing (SplashConfig grew an ``execution``
-# sub-config; the old flat spellings warn once each and disappear in two
-# releases).
-# ----------------------------------------------------------------------
-_UNSET = object()
-
-#: flat SplashConfig field → ExecutionConfig field
-_FLAT_EXECUTION_FIELDS = {
-    "context_engine": "engine",
-    "num_workers": "num_workers",
-    "propagation": "propagation",
-    "dtype": "dtype",
-    "prefetch": "prefetch",
-}
-
-_warned_flat_fields: set = set()
-
-
-def _warn_flat_field(name: str, stacklevel: int = 3) -> None:
-    """One ``DeprecationWarning`` per flat field per process (write or read)."""
-    if name in _warned_flat_fields:
-        return
-    _warned_flat_fields.add(name)
-    replacement = _FLAT_EXECUTION_FIELDS[name]
-    warnings.warn(
-        f"SplashConfig.{name} is deprecated and will be removed in two "
-        f"releases; use SplashConfig(execution=ExecutionConfig("
-        f"{replacement}=...)) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _reset_flat_field_warnings() -> None:
-    """Testing hook: make every flat-field deprecation fire again."""
-    _warned_flat_fields.clear()
-
-
-@dataclass(init=False)
+@dataclass
 class SplashConfig:
     """Hyperparameters of the full SPLASH pipeline.
 
     *What* is computed lives in the flat fields (feature/model/selection
     hyperparameters); *how* it runs lives in ``execution``
-    (:class:`ExecutionConfig`: array backend, threads, precision, replay
-    engine, workers, propagation mode, prefetch).
-
-    The pre-``execution`` flat spellings (``context_engine``,
-    ``num_workers``, ``propagation``, ``dtype``, ``prefetch``) are still
-    accepted as keyword arguments and readable as properties, but emit one
-    :class:`DeprecationWarning` each and will be removed in two releases.
-    Mixing them with an explicit ``execution=`` is an error.
+    (:class:`ExecutionConfig`: precision, replay engine, workers,
+    propagation mode, prefetch, telemetry).
     """
 
-    feature_dim: int
-    k: int
-    model: ModelConfig
-    linear: LinearFitConfig
-    split_fractions: Optional[List[float]]  # None → paper's five splits
-    force_process: Optional[str]  # ablations: "random"/"positional"/...
-    execution: ExecutionConfig
-    seed: int
-
-    def __init__(
-        self,
-        feature_dim: int = 32,
-        k: int = 10,
-        model: Optional[ModelConfig] = None,
-        linear: Optional[LinearFitConfig] = None,
-        split_fractions: Optional[List[float]] = None,
-        force_process: Optional[str] = None,
-        execution: Optional[ExecutionConfig] = None,
-        seed: int = 0,
-        *,
-        context_engine=_UNSET,
-        num_workers=_UNSET,
-        propagation=_UNSET,
-        dtype=_UNSET,
-        prefetch=_UNSET,
-    ) -> None:
-        flat = {
-            name: value
-            for name, value in (
-                ("context_engine", context_engine),
-                ("num_workers", num_workers),
-                ("propagation", propagation),
-                ("dtype", dtype),
-                ("prefetch", prefetch),
-            )
-            if value is not _UNSET
-        }
-        if flat and execution is not None:
-            raise ValueError(
-                "pass execution settings either through execution=... or "
-                "through the deprecated flat fields, not both: "
-                + ", ".join(sorted(flat))
-            )
-        for name in flat:
-            _warn_flat_field(name)
-        if execution is None:
-            execution = ExecutionConfig(
-                **{_FLAT_EXECUTION_FIELDS[name]: value for name, value in flat.items()}
-            )
-        self.feature_dim = feature_dim
-        self.k = k
-        self.model = model if model is not None else ModelConfig()
-        self.linear = linear if linear is not None else LinearFitConfig()
-        self.split_fractions = split_fractions
-        self.force_process = force_process
-        self.execution = execution
-        self.seed = seed
-        self.__post_init__()
+    feature_dim: int = 32
+    k: int = 10
+    model: ModelConfig = field(default_factory=ModelConfig)
+    linear: LinearFitConfig = field(default_factory=LinearFitConfig)
+    split_fractions: Optional[List[float]] = None  # None → paper's five splits
+    force_process: Optional[str] = None  # ablations: "random"/"positional"/...
+    execution: ExecutionConfig = field(default_factory=ExecutionConfig)
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.feature_dim <= 0 or self.k <= 0:
@@ -281,37 +150,6 @@ class SplashConfig:
             raise ValueError(
                 f"execution must be an ExecutionConfig, got {self.execution!r}"
             )
-
-    # -- deprecated flat spellings (read-only pass-throughs) -----------
-    @property
-    def context_engine(self) -> str:
-        """Deprecated alias for ``execution.engine``."""
-        _warn_flat_field("context_engine")
-        return self.execution.engine
-
-    @property
-    def num_workers(self) -> int:
-        """Deprecated alias for ``execution.num_workers``."""
-        _warn_flat_field("num_workers")
-        return self.execution.num_workers
-
-    @property
-    def propagation(self) -> str:
-        """Deprecated alias for ``execution.propagation``."""
-        _warn_flat_field("propagation")
-        return self.execution.propagation
-
-    @property
-    def dtype(self) -> Optional[str]:
-        """Deprecated alias for ``execution.dtype``."""
-        _warn_flat_field("dtype")
-        return self.execution.dtype
-
-    @property
-    def prefetch(self) -> bool:
-        """Deprecated alias for ``execution.prefetch``."""
-        _warn_flat_field("prefetch")
-        return self.execution.prefetch
 
 
 class Splash:
@@ -334,7 +172,6 @@ class Splash:
         self.timer = Timer()
         self._dataset: Optional[StreamDataset] = None
         self._fit_dtype = None
-        self._fit_backend: Optional[str] = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -354,7 +191,7 @@ class Splash:
         cfg = self.config
         exe = cfg.execution
         if exe.obs is not None:
-            # Observability is process-global (like the backend default):
+            # Observability is process-global (like the default dtype):
             # an explicit setting here rebinds the recorder for the whole
             # process; obs=None leaves REPRO_OBS / prior configure() alone.
             obs.configure(
@@ -370,13 +207,7 @@ class Splash:
         # Freeze the training precision now: with execution.dtype=None the
         # model must keep the dtype that was ambient at *fit* time even if
         # the ambient default changes before evaluate()/predict_scores().
-        # The array backend is frozen the same way — not for correctness
-        # (backends are bit-identical) but so serving inherits an honest
-        # record of how this pipeline ran.
         self._fit_dtype = exe.dtype if exe.dtype is not None else get_default_dtype()
-        self._fit_backend = (
-            exe.backend if exe.backend is not None else active_backend().name
-        )
 
         if bundle is not None:
             missing = {"random", "positional", "structural"} - set(
@@ -397,7 +228,7 @@ class Splash:
                 )
                 for process in self.processes:
                     process.fit(train_stream, dataset.ctdg.num_nodes)
-            with self.timer.section("context_build"), self._backend_context():
+            with self.timer.section("context_build"):
                 self.bundle = build_context_bundle(
                     dataset.ctdg,
                     dataset.queries,
@@ -459,11 +290,6 @@ class Splash:
         """The precision the pipeline trained at (None before fit/load)."""
         return self._fit_dtype
 
-    @property
-    def fit_backend(self) -> Optional[str]:
-        """The array backend the pipeline trained under (None before fit)."""
-        return self._fit_backend
-
     # ------------------------------------------------------------------
     # Persistence (see repro.serving.artifact for the on-disk format)
     # ------------------------------------------------------------------
@@ -524,7 +350,7 @@ class Splash:
         exe = cfg.execution
         self._dataset = dataset
         self.split = split or dataset.split()
-        with self.timer.section("context_build"), self._backend_context():
+        with self.timer.section("context_build"):
             self.bundle = build_context_bundle(
                 dataset.ctdg,
                 dataset.queries,
@@ -537,25 +363,11 @@ class Splash:
         self.model.bind_task(dataset.task)
         return self
 
-    def _backend_context(self):
-        """The array backend frozen at fit (ambient no-op before fit)."""
-        if self._fit_backend is None:
-            return contextlib.nullcontext()
-        return use_backend(
-            self._fit_backend, num_threads=self.config.execution.num_threads
-        )
-
     def _execution_context(self):
-        """Inference must run at the precision (and, for provenance, the
-        backend) the model was trained under."""
-        stack = contextlib.ExitStack()
-        stack.enter_context(
-            default_dtype(
-                self._fit_dtype if self._fit_dtype is not None else get_default_dtype()
-            )
+        """Inference must run at the precision the model was trained under."""
+        return default_dtype(
+            self._fit_dtype if self._fit_dtype is not None else get_default_dtype()
         )
-        stack.enter_context(self._backend_context())
-        return stack
 
     def predict_scores(self, idx: np.ndarray) -> np.ndarray:
         if self.model is None or self.bundle is None:

@@ -49,10 +49,15 @@ from repro.models.base import ModelConfig
 ARTIFACT_FORMAT = "splash-artifact"
 # Version history:
 #   1 — flat SplashConfig (context_engine/num_workers/... at top level)
-#   2 — SplashConfig.execution sub-config (ExecutionConfig) + "backend" in
-#       meta.json; version-1 artifacts still load (their flat keys are
-#       mapped onto ExecutionConfig silently, no deprecation warnings).
+#   2 — SplashConfig.execution sub-config (ExecutionConfig); version-1
+#       artifacts still load (their flat keys are mapped onto
+#       ExecutionConfig silently, no deprecation warnings).  Older version-2
+#       writers also stored an array-backend name ("backend" in meta.json,
+#       execution.backend / execution.num_threads); readers ignore those.
 ARTIFACT_VERSION = 2
+
+# ExecutionConfig fields older writers stored that no longer exist.
+_RETIRED_EXECUTION_KEYS = ("backend", "num_threads")
 
 META_FILE = "meta.json"
 WEIGHTS_FILE = "slim_weights"
@@ -155,9 +160,6 @@ def _write_artifact_files(splash, path: str) -> None:
         # fit_dtype is a string when the config pinned it, else the numpy
         # dtype that was ambient at fit time; store the canonical name.
         "dtype": np.dtype(splash.fit_dtype).name,
-        # The array backend the pipeline trained under (provenance — every
-        # registered backend is bit-identical, so any backend can serve it).
-        "backend": splash.fit_backend,
         "selected": splash.model.feature_name,
         "feature_dim": int(splash.model.feature_dim),
         "edge_feature_dim": int(splash.model.edge_feature_dim),
@@ -201,7 +203,12 @@ def load_artifact(path: str):
     raw_config["model"] = ModelConfig(**raw_config["model"])
     raw_config["linear"] = LinearFitConfig(**raw_config["linear"])
     if "execution" in raw_config:
-        raw_config["execution"] = ExecutionConfig(**raw_config["execution"])
+        execution = {
+            key: value
+            for key, value in raw_config["execution"].items()
+            if key not in _RETIRED_EXECUTION_KEYS
+        }
+        raw_config["execution"] = ExecutionConfig(**execution)
     else:
         # Version-1 artifact: execution knobs were flat SplashConfig
         # fields.  Map them silently — a stored artifact is not the
@@ -216,7 +223,6 @@ def load_artifact(path: str):
     config = SplashConfig(**raw_config)
     splash = Splash(config)
     splash._fit_dtype = meta["dtype"]
-    splash._fit_backend = meta.get("backend")
 
     with np.load(os.path.join(path, PROCESSES_FILE)) as archive:
         arrays = {name: archive[name] for name in archive.files}

@@ -1,28 +1,20 @@
 """Serving configuration: one nested dataclass instead of kwargs sprawl.
 
 :class:`ServingConfig` collects every *deployment* knob of the serving
-plane — micro-batch size, precision/backend overrides, persistence root and
+plane — micro-batch size, precision override, persistence root and
 snapshot cadence, telemetry exposition, drift-monitor attachment, and the
 fleet shard count — mirroring how :class:`repro.pipeline.ExecutionConfig`
 collects the offline pipeline's execution knobs.  *What* is served (model,
 feature processes, k) always comes from the :class:`~repro.pipeline.Splash`
 artifact; *how* it is served lives here.
-
-``PredictionService.from_splash``/``resume`` historically took these knobs
-as flat keyword arguments (``persist_path=``, ``snapshot_every=``,
-``micro_batch_size=``, ``dtype=``, ``backend=``).  The flat spellings are
-still accepted, but each emits one :class:`DeprecationWarning` per process
-and they will be removed in two releases; mixing them with an explicit
-``config=`` is an error, and unrecognised keywords are rejected with a
-message naming the valid options (they used to surface as an opaque
-``TypeError`` from the constructor).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
+
+from repro.utils.validation import check_finite_positive, check_int
 
 
 @dataclass
@@ -47,8 +39,6 @@ class ServingConfig:
     # Scoring precision ("float32"/"float64").  None → the pipeline's fit
     # dtype (artifacts record it), keeping inference at training precision.
     dtype: Optional[str] = None
-    # Array backend (repro.nn.backend).  None → the pipeline's fit backend.
-    backend: Optional[str] = None
     # Horizontal fan-out: ≤ 1 serves in-process, ≥ 2 starts that many
     # worker processes partitioned by endpoint hash
     # (:func:`repro.streams.replay.endpoint_shard`).
@@ -83,132 +73,27 @@ class ServingConfig:
 
     def __post_init__(self) -> None:
         if self.micro_batch_size is not None:
-            if not isinstance(self.micro_batch_size, int) or isinstance(
-                self.micro_batch_size, bool
-            ):
-                raise ValueError(
-                    "micro_batch_size must be an int or None, "
-                    f"got {self.micro_batch_size!r}"
-                )
-            if self.micro_batch_size <= 0:
-                raise ValueError(
-                    f"micro_batch_size must be positive, got {self.micro_batch_size}"
-                )
+            check_int("micro_batch_size", self.micro_batch_size, low=1)
         if self.dtype is not None and self.dtype not in ("float32", "float64"):
             raise ValueError(
                 f"dtype must be 'float32', 'float64' or None, got {self.dtype!r}"
             )
-        if self.backend is not None:
-            # Fail at construction with the registry's own message.
-            from repro.nn.backend import get_backend
-
-            get_backend(self.backend)
-        if not isinstance(self.num_shards, int) or isinstance(self.num_shards, bool):
-            raise ValueError(f"num_shards must be an int, got {self.num_shards!r}")
-        if self.num_shards < 0:
-            raise ValueError(
-                f"num_shards must be non-negative, got {self.num_shards}"
-            )
-        if self.snapshot_every is not None and self.snapshot_every <= 0:
+        check_int("num_shards", self.num_shards)
+        if self.snapshot_every is not None:
             # persist_path is not required here: resume() takes the root
             # positionally and pairs it with a config carrying only the
             # cadence.  from_splash warns when the cadence has no root.
-            raise ValueError(
-                f"snapshot_every must be positive, got {self.snapshot_every}"
-            )
-        if self.telemetry_port is not None and not (
-            0 <= int(self.telemetry_port) <= 65535
-        ):
-            raise ValueError(
-                "telemetry_port must be in [0, 65535] or None, "
-                f"got {self.telemetry_port!r}"
-            )
-        if self.slo_interval <= 0:
-            raise ValueError(
-                f"slo_interval must be positive, got {self.slo_interval!r}"
-            )
-        if not isinstance(self.catchup_ring, int) or self.catchup_ring < 0:
-            raise ValueError(
-                f"catchup_ring must be a non-negative int, got {self.catchup_ring!r}"
-            )
+            check_int("snapshot_every", self.snapshot_every, low=1)
+        if self.telemetry_port is not None:
+            check_int("telemetry_port", self.telemetry_port, high=65535)
+        check_finite_positive("slo_interval", self.slo_interval)
+        check_int("catchup_ring", self.catchup_ring)
 
 
-# ----------------------------------------------------------------------
-# Flat-kwarg deprecation plumbing (from_splash/resume grew a ``config``
-# parameter; the old flat spellings warn once each and disappear in two
-# releases).  Mirrors the SplashConfig → ExecutionConfig migration.
-# ----------------------------------------------------------------------
-_UNSET = object()
-
-#: flat from_splash/resume keyword → ServingConfig field
-_FLAT_SERVING_FIELDS = {
-    "persist_path": "persist_path",
-    "snapshot_every": "snapshot_every",
-    "micro_batch_size": "micro_batch_size",
-    "dtype": "dtype",
-    "backend": "backend",
-}
-
-_warned_flat_kwargs: set = set()
-
-
-def _warn_flat_kwarg(name: str, stacklevel: int = 4) -> None:
-    """One ``DeprecationWarning`` per flat keyword per process."""
-    if name in _warned_flat_kwargs:
-        return
-    _warned_flat_kwargs.add(name)
-    replacement = _FLAT_SERVING_FIELDS[name]
-    warnings.warn(
-        f"passing {name}= to PredictionService.from_splash/resume is "
-        f"deprecated and will be removed in two releases; use "
-        f"config=ServingConfig({replacement}=...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _reset_flat_kwarg_warnings() -> None:
-    """Testing hook: make every flat-kwarg deprecation fire again."""
-    _warned_flat_kwargs.clear()
-
-
-def resolve_serving_config(
-    config: Optional[ServingConfig],
-    flat_kwargs: dict,
-    *,
-    where: str = "from_splash",
-) -> ServingConfig:
-    """Fold deprecated flat keywords into one :class:`ServingConfig`.
-
-    Rejects unknown keywords with a message naming the valid options
-    (historically they fell through ``**kwargs`` into the constructor and
-    surfaced as an opaque ``TypeError`` — or worse, were swallowed when a
-    later ``setdefault`` happened to mask them), errors on mixing flat
-    keywords with an explicit ``config=``, and warns once per flat keyword
-    otherwise.
-    """
-    unknown = sorted(set(flat_kwargs) - set(_FLAT_SERVING_FIELDS))
-    if unknown:
-        raise ValueError(
-            f"unknown keyword argument(s) for {where}: "
-            + ", ".join(unknown)
-            + "; valid serving options are "
-            + ", ".join(sorted(_FLAT_SERVING_FIELDS))
-            + " (all deprecated in favour of config=ServingConfig(...))"
-        )
-    flat = {k: v for k, v in flat_kwargs.items() if v is not None}
-    if flat and config is not None:
-        raise ValueError(
-            "pass serving settings either through config=ServingConfig(...) "
-            "or through the deprecated flat keywords, not both: "
-            + ", ".join(sorted(flat))
-        )
-    for name in flat:
-        _warn_flat_kwarg(name)
+def ensure_serving_config(config: Optional[ServingConfig]) -> ServingConfig:
+    """``config`` itself, or the all-default config for ``None``."""
     if config is None:
-        config = ServingConfig(
-            **{_FLAT_SERVING_FIELDS[k]: v for k, v in flat.items()}
-        )
+        return ServingConfig()
     if not isinstance(config, ServingConfig):
         raise ValueError(f"config must be a ServingConfig, got {config!r}")
     return config

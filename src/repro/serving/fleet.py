@@ -27,7 +27,7 @@ while keeping results **bit-for-bit equal** to the single service:
   shards for materialisation, scatter back into one
   :class:`~repro.models.context._QueryOutputs` block, and the merged
   bundle is scored once by the router's model.  Same contexts, same batch
-  shapes, same model/backend/dtype ⇒ bit-identical scores (per-shard
+  shapes, same model/dtype ⇒ bit-identical scores (per-shard
   scoring would change forward-pass batch shapes, and with them BLAS
   accumulation order).
 
@@ -62,7 +62,7 @@ import numpy as np
 
 from repro import obs
 from repro.models.context import _QueryOutputs
-from repro.serving.config import ServingConfig, resolve_serving_config
+from repro.serving.config import ServingConfig, ensure_serving_config
 from repro.serving.service import PredictionService
 from repro.serving.store import IncrementalContextStore
 from repro.streams.ctdg import CTDG
@@ -253,7 +253,6 @@ def _build_worker_service(
     worker_config = ServingConfig(
         micro_batch_size=config.micro_batch_size,
         dtype=config.dtype,
-        backend=config.backend,
         snapshot_every=config.snapshot_every,
         drift_monitor=config.drift_monitor,
     )
@@ -272,7 +271,6 @@ def _build_worker_service(
         config=ServingConfig(
             micro_batch_size=worker_config.micro_batch_size,
             dtype=worker_config.dtype,
-            backend=worker_config.backend,
             persist_path=root,
             snapshot_every=config.snapshot_every if root is not None else None,
             drift_monitor=config.drift_monitor,
@@ -486,7 +484,7 @@ class FleetRouter:
         *,
         task: Optional[Task] = None,
     ) -> None:
-        config = resolve_serving_config(config, {}, where="FleetRouter")
+        config = ensure_serving_config(config)
         if config.num_shards < 2:
             raise ValueError(
                 f"a fleet needs num_shards >= 2, got {config.num_shards}; "
@@ -515,7 +513,7 @@ class FleetRouter:
             propagation=splash.config.execution.propagation,
         )
         # The scorer reuses PredictionService for the locked model forward
-        # (hot_swap-safe), dtype/backend flips, and latency accounting —
+        # (hot_swap-safe), dtype flips, and latency accounting —
         # its store is the template, used only for bundle geometry.
         self._scorer = PredictionService(
             splash.model,
@@ -523,9 +521,6 @@ class FleetRouter:
             task=task,
             micro_batch_size=config.micro_batch_size,
             dtype=config.dtype if config.dtype is not None else splash.fit_dtype,
-            backend=(
-                config.backend if config.backend is not None else splash.fit_backend
-            ),
         )
         self._template = template
         self._edges_ingested = 0
@@ -1082,7 +1077,7 @@ def serve(
     return bit-identical scores for the same stream; the fleet adds
     horizontal ingest throughput and per-shard warm restart.
     """
-    config = resolve_serving_config(config, {}, where="serve")
+    config = ensure_serving_config(config)
     if config.num_shards >= 2:
         router = FleetRouter(
             splash,

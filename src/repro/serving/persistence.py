@@ -25,7 +25,7 @@ module makes restart time independent of the stream:
   detected (missing/short/CRC-mismatched files) and skipped, never loaded
   silently wrong.
 * **Manifest** — ``manifest.json`` at the persistence root binds the
-  artifact (path + dtype/backend provenance), the store schema, the
+  artifact (path + dtype provenance), the store schema, the
   segment list, and the snapshot chain.  It is rewritten atomically, so a
   reader sees the previous consistent binding or the new one, never a
   torn state.
@@ -954,7 +954,6 @@ def _artifact_info(artifact_rel: str, splash, note: str = "") -> dict:
         "dtype": (
             np.dtype(splash.fit_dtype).name if splash.fit_dtype is not None else None
         ),
-        "backend": splash.fit_backend,
     }
     if note:
         info["note"] = note

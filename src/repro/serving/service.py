@@ -42,10 +42,9 @@ import numpy as np
 from repro import obs
 from repro.models.base import ContextModel
 from repro.models.context import ContextBundle
-from repro.nn.backend import active_backend, use_backend
 from repro.obs.metrics import Histogram
 from repro.nn.tensor import default_dtype, get_default_dtype
-from repro.serving.config import ServingConfig, resolve_serving_config
+from repro.serving.config import ServingConfig, ensure_serving_config
 from repro.serving.persistence import PersistenceManager
 from repro.serving.store import IncrementalContextStore
 from repro.streams.ctdg import CTDG
@@ -192,12 +191,6 @@ class PredictionService:
         concurrently *in the same process* at a different precision is not
         supported (run retraining in its own process, then hot-swap the
         saved artifact in).
-    backend:
-        Array backend (:mod:`repro.nn.backend`) to ingest and score under;
-        defaults to the ambient backend.  ``from_splash`` passes the
-        pipeline's fit backend.  Results are bit-identical across
-        registered backends, so this is a throughput knob with the same
-        process-global caveat as ``dtype``.
     """
 
     def __init__(
@@ -209,7 +202,6 @@ class PredictionService:
         scores_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         micro_batch_size: Optional[int] = None,
         dtype: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> None:
         if micro_batch_size is not None and micro_batch_size <= 0:
             raise ValueError(
@@ -223,7 +215,6 @@ class PredictionService:
             else model.config.batch_size
         )
         self._dtype = dtype
-        self._backend = backend
         self._swap_lock = threading.Lock()
         self._task = task
         self.model = model
@@ -349,7 +340,6 @@ class PredictionService:
         task: Optional[Task] = None,
         scores_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         owner: Optional[tuple] = None,
-        **deprecated_kwargs,
     ) -> "PredictionService":
         """Service around a fitted (or loaded) :class:`~repro.pipeline.Splash`.
 
@@ -361,21 +351,16 @@ class PredictionService:
         Deployment knobs live in ``config`` (:class:`ServingConfig`):
         persistence root + snapshot cadence (restart later with
         :meth:`resume`, which replays only the post-snapshot tail),
-        micro-batch size, dtype/backend overrides, telemetry exposition,
-        and drift-monitor attachment.  ``config.num_shards`` ≥ 2 is a
-        *fleet* spec — use :func:`repro.serving.serve` for that; this
-        constructor always builds one in-process service.  The pre-config
-        flat keywords (``persist_path=``, ``snapshot_every=``,
-        ``micro_batch_size=``, ``dtype=``, ``backend=``) still work but
-        are deprecated (one warning each); unknown keywords raise.
+        micro-batch size, dtype override, telemetry exposition, and
+        drift-monitor attachment.  ``config.num_shards`` ≥ 2 is a *fleet*
+        spec — use :func:`repro.serving.serve` for that; this constructor
+        always builds one in-process service.
 
         ``owner`` is the fleet-internal ``(shard_index, num_shards)``
         store-partitioning spec (:mod:`repro.serving.fleet` passes it for
         its workers); it does not change this service's API.
         """
-        config = resolve_serving_config(
-            config, deprecated_kwargs, where="from_splash"
-        )
+        config = ensure_serving_config(config)
         if config.snapshot_every is not None and config.persist_path is None:
             warnings.warn(
                 "snapshot_every has no effect without persist_path; "
@@ -410,9 +395,6 @@ class PredictionService:
             scores_fn=scores_fn,
             micro_batch_size=config.micro_batch_size,
             dtype=config.dtype if config.dtype is not None else splash.fit_dtype,
-            backend=(
-                config.backend if config.backend is not None else splash.fit_backend
-            ),
         )
         if config.persist_path is not None:
             manager_kwargs = {}
@@ -435,7 +417,6 @@ class PredictionService:
         config: Optional[ServingConfig] = None,
         task: Optional[Task] = None,
         scores_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        **deprecated_kwargs,
     ) -> "PredictionService":
         """Warm-restart a service from a persistence root.
 
@@ -448,10 +429,9 @@ class PredictionService:
         ``config`` carries the same deployment knobs as
         :meth:`from_splash`, except the persistence root — that is the
         positional argument here, so ``config.persist_path`` must be
-        unset.  Flat keywords are accepted with the same deprecation
-        policy.
+        unset.
         """
-        config = resolve_serving_config(config, deprecated_kwargs, where="resume")
+        config = ensure_serving_config(config)
         if config.persist_path is not None:
             raise ValueError(
                 "resume takes the persistence root positionally; leave "
@@ -467,9 +447,6 @@ class PredictionService:
             scores_fn=scores_fn,
             micro_batch_size=config.micro_batch_size,
             dtype=config.dtype if config.dtype is not None else splash.fit_dtype,
-            backend=(
-                config.backend if config.backend is not None else splash.fit_backend
-            ),
         )
         service.attach_persistence(manager)
         service._apply_config(config)
@@ -482,20 +459,11 @@ class PredictionService:
         return service
 
     # ------------------------------------------------------------------
-    def _backend_context(self):
-        """Flip to the configured array backend only when it differs from
-        the ambient one — same process-global caveat as the dtype flip."""
-        if self._backend and self._backend != active_backend().name:
-            return use_backend(self._backend)
-        return contextlib.nullcontext()
-
     def ingest(self, edges: CTDG) -> int:
-        """Timed ingest of one edge micro-batch (under the configured
-        array backend — the store's gathers/scatters route through it)."""
+        """Timed ingest of one edge micro-batch."""
         start = time_mod.perf_counter()
         with obs.span("serving.ingest", batch=edges.num_edges):
-            with self._backend_context():
-                count = self.store.ingest(edges)
+            count = self.store.ingest(edges)
         self.metrics.record_ingest(count, time_mod.perf_counter() - start)
         obs.inc("serving.ingest.events", count)
         if self._persistence is not None:
@@ -505,10 +473,7 @@ class PredictionService:
     def _ingest_arrays(self, src, dst, times, features, weights) -> int:
         start = time_mod.perf_counter()
         with obs.span("serving.ingest", batch=len(src)):
-            with self._backend_context():
-                count = self.store.ingest_arrays(
-                    src, dst, times, features, weights
-                )
+            count = self.store.ingest_arrays(src, dst, times, features, weights)
         self.metrics.record_ingest(count, time_mod.perf_counter() - start)
         obs.inc("serving.ingest.events", count)
         if self._persistence is not None:
@@ -521,7 +486,6 @@ class PredictionService:
         *,
         store: Optional[IncrementalContextStore] = None,
         dtype: Optional[str] = None,
-        backend: Optional[str] = None,
         scores_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         """Replace the scoring model without interrupting service.
@@ -601,15 +565,12 @@ class PredictionService:
                 self.store = store
             if dtype is not None:
                 self._dtype = dtype
-            if backend is not None:
-                self._backend = backend
             if scores_fn is not None:
                 self.scores_fn = scores_fn
         obs.inc("serving.hot_swaps")
         logger.info(
-            "hot-swapped model (dtype=%s, backend=%s%s)",
+            "hot-swapped model (dtype=%s%s)",
             self._dtype,
-            self._backend,
             ", with store" if store is not None else "",
         )
 
@@ -633,7 +594,7 @@ class PredictionService:
                 context = default_dtype(self._dtype)
             else:
                 context = contextlib.nullcontext()
-            with context, self._backend_context():
+            with context:
                 if self._task is not None:
                     return model.predict_scores(bundle, idx)
                 logits = model.predict_logits(bundle, idx)

@@ -220,10 +220,9 @@ def plan_update_blocks(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     applying the run as one gather + scatter
     (:meth:`repro.features.base.OnlineFeatureStore.on_edge_block`) is
     bit-for-bit equivalent to the per-event order.  The same invariant
-    makes each run's row indices duplicate-free, which is the contract of
-    :meth:`repro.nn.backend.ArrayBackend.put_rows` — array backends may
-    partition a run's scatter across threads without changing a single
-    bit.  Concatenating the runs reproduces the input order exactly.
+    makes each run's row indices duplicate-free, so a run's scatter writes
+    every row once.  Concatenating the runs reproduces the input order
+    exactly.
     Callers may substitute unique
     sentinel ids for endpoints they know to be read-only (all-static
     nodes) to exempt them from conflict detection — see

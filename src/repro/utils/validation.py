@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+import math
+import numbers
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -13,6 +15,30 @@ def check_positive(name: str, value: Union[int, float], *, strict: bool = True) 
         raise ValueError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def check_int(
+    name: str, value, *, low: int = 0, high: Optional[int] = None
+) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (never a bool or a
+    float, however round) in ``[low, high]`` — the config-field check."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+
+
+def check_finite_positive(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real number > 0
+    (bools and NaN rejected) — the config-field check for durations."""
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def check_probability(name: str, value: float) -> None:

@@ -180,6 +180,7 @@ def test_obs_start_http_server_serves_global_registry():
 def test_execution_config_validates_http_port():
     from repro.pipeline import ExecutionConfig
 
-    with pytest.raises(ValueError, match="obs_http_port"):
-        ExecutionConfig(obs_http_port=-1)
+    for bad in (-1, True, 80.7):
+        with pytest.raises(ValueError, match="obs_http_port"):
+            ExecutionConfig(obs_http_port=bad)
     assert ExecutionConfig(obs_http_port=8080).obs_http_port == 8080

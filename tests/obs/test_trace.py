@@ -236,8 +236,9 @@ def test_execution_config_obs_fields():
     assert ExecutionConfig().obs is None  # None → leave ambient recorder alone
     with pytest.raises(ValueError):
         ExecutionConfig(obs="loud")
-    with pytest.raises(ValueError):
-        ExecutionConfig(obs="metrics", obs_flush_interval=-1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="obs_flush_interval"):
+            ExecutionConfig(obs="metrics", obs_flush_interval=bad)
     with pytest.warns(UserWarning, match="obs_trace_path has no effect"):
         ExecutionConfig(obs="metrics", obs_trace_path="x.jsonl")
 

@@ -1,10 +1,9 @@
-"""ExecutionConfig and the deprecation shims around the old flat API.
+"""ExecutionConfig, the one spelling of the pipeline's execution knobs.
 
-The redesign nests every execution knob under ``SplashConfig.execution``;
-the old flat spellings must keep working for two releases with exactly one
-:class:`DeprecationWarning` each.  These tests pin the shim semantics:
-warn-once bookkeeping, flat/execution mixing errors, the positional-knob
-shim on ``build_context_bundle``, and silent version-1 artifact loading.
+Every execution knob lives under ``SplashConfig.execution``.  These tests
+pin the config's defaults, that the retired flat and positional spellings
+are rejected with a ``TypeError`` naming them, and that stored version-1
+and version-2 artifacts still load.
 """
 
 import json
@@ -17,17 +16,8 @@ from repro.datasets import email_eu_like
 from repro.models import ModelConfig
 from repro.models.context import build_context_bundle
 from repro.pipeline import ExecutionConfig, Splash, SplashConfig, prepare_experiment
-from repro.pipeline.splash import _reset_flat_field_warnings
 
 FAST_MODEL = ModelConfig(hidden_dim=12, epochs=2, batch_size=64, seed=0)
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    # Each test sees the warn-once bookkeeping as a new process would.
-    _reset_flat_field_warnings()
-    yield
-    _reset_flat_field_warnings()
 
 
 @pytest.fixture(scope="module")
@@ -38,84 +28,34 @@ def tiny_dataset():
 class TestExecutionConfig:
     def test_defaults(self):
         execution = ExecutionConfig()
-        assert execution.backend is None
-        assert execution.num_threads is None
         assert execution.dtype is None
         assert execution.engine == "batched"
         assert execution.num_workers == 0
         assert execution.propagation == "blocked"
         assert execution.prefetch is False
 
-    def test_backend_validated_against_registry(self):
-        assert ExecutionConfig(backend="blas-threaded").backend == "blas-threaded"
-        with pytest.raises(ValueError, match="unknown array backend 'typo'"):
-            ExecutionConfig(backend="typo")
-
-    def test_num_threads_validated(self):
-        assert ExecutionConfig(num_threads=4).num_threads == 4
-        for bad in (0, -2, 1.5):
-            with pytest.raises(ValueError, match="num_threads"):
-                ExecutionConfig(num_threads=bad)
-
     def test_splash_config_rejects_non_execution(self):
         with pytest.raises(ValueError, match="ExecutionConfig"):
             SplashConfig(execution={"engine": "batched"})
 
 
-class TestFlatFieldShims:
-    def test_flat_kwargs_map_onto_execution(self):
-        with pytest.warns(DeprecationWarning, match="context_engine is deprecated"):
-            config = SplashConfig(context_engine="sharded")
-        assert config.execution.engine == "sharded"
-        _reset_flat_field_warnings()
-        with pytest.warns(DeprecationWarning, match="dtype is deprecated"):
-            config = SplashConfig(dtype="float32")
-        assert config.execution.dtype == "float32"
-        _reset_flat_field_warnings()
-        with pytest.warns(DeprecationWarning, match="prefetch is deprecated"):
-            config = SplashConfig(prefetch=True)
-        assert config.execution.prefetch is True
+class TestRetiredSpellings:
+    def test_unknown_kwarg_rejected(self, tiny_dataset):
+        with pytest.raises(TypeError, match="context_engine"):
+            SplashConfig(context_engine="sharded")
+        with pytest.raises(TypeError, match="num_workers"):
+            prepare_experiment(tiny_dataset, k=4, feature_dim=8, num_workers=2)
 
-    def test_each_field_warns_exactly_once_per_process(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            SplashConfig(propagation="event")
-            SplashConfig(propagation="event")  # second use: already warned
-            SplashConfig(num_workers=0)  # different field: warns again
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2
-        assert "propagation" in str(deprecations[0].message)
-        assert "num_workers" in str(deprecations[1].message)
-
-    def test_reset_hook_rearms_warnings(self):
-        with pytest.warns(DeprecationWarning):
-            SplashConfig(context_engine="event")
-        _reset_flat_field_warnings()
-        with pytest.warns(DeprecationWarning):
-            SplashConfig(context_engine="event")
-
-    def test_reading_flat_properties_warns(self):
-        config = SplashConfig(execution=ExecutionConfig(engine="sharded"))
-        with pytest.warns(DeprecationWarning, match="context_engine"):
-            assert config.context_engine == "sharded"
-        with pytest.warns(DeprecationWarning, match="num_workers"):
-            assert config.num_workers == 0
-        with pytest.warns(DeprecationWarning, match="propagation"):
-            assert config.propagation == "blocked"
-        with pytest.warns(DeprecationWarning, match="dtype"):
-            assert config.dtype is None
-        with pytest.warns(DeprecationWarning, match="prefetch"):
-            assert config.prefetch is False
-
-    def test_warning_names_the_replacement(self):
-        with pytest.warns(DeprecationWarning, match=r"ExecutionConfig\(engine="):
-            SplashConfig(context_engine="batched")
-
-    def test_mixing_flat_and_execution_is_an_error(self):
-        with pytest.raises(ValueError, match="not both: context_engine"):
-            SplashConfig(
-                context_engine="sharded", execution=ExecutionConfig()
+    def test_too_many_positional_arguments(self, tiny_dataset):
+        # The execution knobs are keyword-only.
+        with pytest.raises(TypeError, match="positional"):
+            build_context_bundle(
+                tiny_dataset.ctdg, tiny_dataset.queries, 4, (), "event"
             )
+
+
+class TestFlatFieldShims:
+    """The flat shims are gone; the nested spelling must stay warning-free."""
 
     def test_new_api_emits_no_warnings(self):
         with warnings.catch_warnings():
@@ -128,21 +68,7 @@ class TestFlatFieldShims:
 
 
 class TestPrepareExperimentShim:
-    def test_flat_keywords_warn_and_map(self, tiny_dataset):
-        with pytest.warns(DeprecationWarning, match="prepare_experiment"):
-            prepared = prepare_experiment(
-                tiny_dataset, k=4, feature_dim=8, seed=0, propagation="event"
-            )
-        assert prepared.execution.propagation == "event"
-        assert prepared.execution.engine == "batched"
-
-    def test_mixing_flat_and_execution_is_an_error(self, tiny_dataset):
-        with pytest.raises(ValueError, match="not both"):
-            prepare_experiment(
-                tiny_dataset,
-                execution=ExecutionConfig(),
-                context_engine="sharded",
-            )
+    """``prepare_experiment`` takes its knobs only through ``execution=``."""
 
     def test_execution_api_is_warning_free(self, tiny_dataset):
         with warnings.catch_warnings():
@@ -155,48 +81,6 @@ class TestPrepareExperimentShim:
                 execution=ExecutionConfig(engine="event"),
             )
         assert prepared.execution.engine == "event"
-
-
-class TestBundlePositionalShim:
-    def test_positional_knobs_warn_and_map(self, tiny_dataset):
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            legacy = build_context_bundle(
-                tiny_dataset.ctdg, tiny_dataset.queries, 4, (), "event"
-            )
-        modern = build_context_bundle(
-            tiny_dataset.ctdg, tiny_dataset.queries, 4, (), engine="event"
-        )
-        assert legacy.k == modern.k
-
-    def test_positional_and_keyword_conflict(self, tiny_dataset):
-        with pytest.raises(TypeError, match="multiple values for argument 'engine'"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                build_context_bundle(
-                    tiny_dataset.ctdg,
-                    tiny_dataset.queries,
-                    4,
-                    (),
-                    "batched",
-                    engine="event",
-                )
-
-    def test_too_many_positional_arguments(self, tiny_dataset):
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                build_context_bundle(
-                    tiny_dataset.ctdg,
-                    tiny_dataset.queries,
-                    4,
-                    (),
-                    "batched",
-                    0,
-                    None,
-                    True,
-                    "blocked",
-                    "extra",
-                )
 
 
 class TestVersion1ArtifactLoad:
@@ -218,7 +102,6 @@ class TestVersion1ArtifactLoad:
         meta["config"]["propagation"] = execution["propagation"]
         meta["config"]["dtype"] = execution["dtype"]
         meta["config"]["prefetch"] = execution["prefetch"]
-        del meta["backend"]
         with open(meta_path, "w") as handle:
             json.dump(meta, handle)
 
@@ -226,20 +109,17 @@ class TestVersion1ArtifactLoad:
             warnings.simplefilter("error")  # silent: artifacts are not caller code
             loaded = Splash.load(path)
         assert loaded.config.execution.engine == "batched"
-        assert loaded.fit_backend is None
         assert loaded.selected_process == splash.selected_process
 
-    def test_v2_round_trip_records_backend(self, tiny_dataset, tmp_path):
+    def test_v2_round_trip(self, tiny_dataset, tmp_path):
         config = SplashConfig(feature_dim=8, k=4, model=FAST_MODEL, seed=0)
         splash = Splash(config)
         splash.fit(tiny_dataset)
-        assert splash.fit_backend == "numpy"
         path = splash.save(str(tmp_path / "artifact-v2"))
         with open(os.path.join(path, "meta.json")) as handle:
             meta = json.load(handle)
         assert meta["version"] == 2
-        assert meta["backend"] == "numpy"
+        assert "backend" not in meta
         assert meta["config"]["execution"]["engine"] == "batched"
         loaded = Splash.load(path)
-        assert loaded.fit_backend == "numpy"
         assert isinstance(loaded.config.execution, ExecutionConfig)

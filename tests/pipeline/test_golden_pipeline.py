@@ -73,12 +73,12 @@ def load_golden_dataset() -> StreamDataset:
     return StreamDataset(name="golden-email", ctdg=ctdg, queries=queries, task=task)
 
 
-def run_pipeline(dtype: str, context_engine: str = "batched") -> dict:
+def run_pipeline(dtype: str, engine: str = "batched") -> dict:
     config = SplashConfig(
         feature_dim=12,
         k=8,
         model=GOLDEN_MODEL,
-        execution=ExecutionConfig(engine=context_engine, dtype=dtype),
+        execution=ExecutionConfig(engine=engine, dtype=dtype),
         seed=0,
     )
     splash = Splash(config)
@@ -127,7 +127,7 @@ class TestGoldenPipeline:
     def test_sharded_engine_reproduces_float64_golden(self, expected):
         # The context bundle is engine-invariant, so the whole pipeline
         # outcome must be too (selection consumes only the bundle).
-        got = run_pipeline("float64", context_engine="sharded")
+        got = run_pipeline("float64", engine="sharded")
         want = expected["float64"]
         assert got["selected"] == want["selected"]
         assert got["test_metric"] == pytest.approx(

@@ -25,6 +25,7 @@ from repro.serving import (
     SegmentCorruption,
     SegmentReader,
     SegmentWriter,
+    ServingConfig,
     SnapshotCorruption,
     load_artifact,
     load_snapshot,
@@ -55,9 +56,8 @@ def persisted_service(fitted, dataset, persist, *, snapshot_every=300, stop=None
         fitted,
         num_nodes=dataset.ctdg.num_nodes,
         edge_feature_dim=dataset.ctdg.edge_feature_dim,
+        config=ServingConfig(persist_path=persist, snapshot_every=snapshot_every),
         task=dataset.task,
-        persist_path=persist,
-        snapshot_every=snapshot_every,
     )
     g = dataset.ctdg
     stop = g.num_edges if stop is None else stop

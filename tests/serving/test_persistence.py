@@ -20,6 +20,7 @@ from repro.serving import (
     EventLog,
     PredictionService,
     SegmentReader,
+    ServingConfig,
     SegmentWriter,
     load_snapshot,
     write_snapshot,
@@ -56,13 +57,13 @@ def fitted(dataset):
     return splash
 
 
-def make_service(splash, dataset, **kwargs):
-    kwargs.setdefault("task", dataset.task)
+def make_service(splash, dataset, **config):
     return PredictionService.from_splash(
         splash,
         num_nodes=dataset.ctdg.num_nodes,
         edge_feature_dim=dataset.ctdg.edge_feature_dim,
-        **kwargs,
+        config=ServingConfig(**config),
+        task=dataset.task,
     )
 
 
@@ -305,6 +306,49 @@ class TestWarmRestart:
             service.predict(nodes, times), resumed.predict(nodes, times)
         )
 
+    def test_parent_era_backend_keys_still_load(self, fitted, dataset, tmp_path):
+        # Older writers recorded an array-backend name in the artifact's
+        # meta.json and execution config, the weights archive and the
+        # manifest.  Such state must still load, resume and score bit for
+        # bit like a fresh one.
+        import json
+
+        from repro.serving.artifact import META_FILE, WEIGHTS_FILE
+
+        persist = str(tmp_path / "persist")
+        service = make_service(
+            fitted, dataset, persist_path=persist, snapshot_every=300
+        )
+        ingest_stream(service, dataset.ctdg)
+        service.persistence.flush()
+        nodes, times = probe_queries(dataset.ctdg)
+        expected = service.predict(nodes, times)
+
+        manifest_path = os.path.join(persist, MANIFEST_FILE)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["artifact"]["backend"] = "numpy"
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        artifact = os.path.join(persist, manifest["artifact"]["path"])
+        meta_path = os.path.join(artifact, META_FILE)
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        meta["backend"] = "numpy"
+        meta["config"]["execution"].update(backend="numpy", num_threads=2)
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+        weights_path = os.path.join(artifact, WEIGHTS_FILE + ".npz")
+        with np.load(weights_path) as archive:
+            weights = {name: archive[name] for name in archive.files}
+        np.savez(weights_path, __backend__=np.asarray("numpy"), **weights)
+
+        resumed = PredictionService.resume(persist, task=dataset.task)
+        np.testing.assert_array_equal(resumed.predict(nodes, times), expected)
+        reloaded = make_service(Splash.load(artifact), dataset)
+        ingest_stream(reloaded, dataset.ctdg)
+        np.testing.assert_array_equal(reloaded.predict(nodes, times), expected)
+
     def test_resume_without_snapshot_cold_replays(self, fitted, dataset, tmp_path):
         persist = str(tmp_path / "persist")
         service = make_service(fitted, dataset, persist_path=persist)
@@ -415,7 +459,6 @@ class TestWarmRestart:
             manifest = json.load(handle)
         assert manifest["artifact"]["path"] == "artifact-0001"
         assert manifest["artifact"]["dtype"] == np.dtype(fitted.fit_dtype).name
-        assert manifest["artifact"]["backend"] == fitted.fit_backend
         assert manifest["store"]["k"] == fitted.config.k
         assert sum(s["count"] for s in manifest["segments"]) == dataset.ctdg.num_edges
         assert manifest["snapshots"] == service.persistence.snapshots

@@ -9,7 +9,7 @@ from repro.datasets import email_eu_like
 from repro.models import ModelConfig
 from repro.models.slim import SLIM
 from repro.pipeline import ExecutionConfig, Splash, SplashConfig
-from repro.serving import PredictionService
+from repro.serving import PredictionService, ServingConfig
 
 FAST_MODEL = ModelConfig(
     hidden_dim=16, epochs=4, batch_size=64, patience=3, time_dim=8, seed=0
@@ -29,13 +29,13 @@ def fitted(dataset):
     return splash
 
 
-def make_service(splash, dataset, **kwargs):
-    kwargs.setdefault("task", dataset.task)
+def make_service(splash, dataset, **config):
     return PredictionService.from_splash(
         splash,
         num_nodes=dataset.ctdg.num_nodes,
         edge_feature_dim=dataset.ctdg.edge_feature_dim,
-        **kwargs,
+        config=ServingConfig(**config),
+        task=dataset.task,
     )
 
 

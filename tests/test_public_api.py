@@ -16,13 +16,8 @@ GOLDEN_ALL = [
     "Splash",
     "SplashConfig",
     "__version__",
-    "available_backends",
-    "get_backend",
     "prepare_experiment",
-    "register_backend",
     "serve",
-    "set_default_backend",
-    "use_backend",
 ]
 
 
@@ -35,7 +30,6 @@ class TestPublicAPI:
             assert getattr(repro, name) is not None, name
 
     def test_reexports_are_the_canonical_objects(self):
-        from repro.nn import backend as backend_mod
         from repro.pipeline import splash as splash_mod
         from repro.serving.config import ServingConfig
         from repro.serving.fleet import serve
@@ -47,12 +41,3 @@ class TestPublicAPI:
         assert repro.PredictionService is PredictionService
         assert repro.ServingConfig is ServingConfig
         assert repro.serve is serve
-        assert repro.use_backend is backend_mod.use_backend
-        assert repro.get_backend is backend_mod.get_backend
-
-    def test_registry_reexports_share_state(self):
-        # The top-level functions must operate on the one process-global
-        # registry, not a copy.
-        assert "numpy" in repro.available_backends()
-        assert "blas-threaded" in repro.available_backends()
-        assert repro.get_backend("numpy").name == "numpy"
